@@ -4,6 +4,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "encoding/gorilla.h"
@@ -121,6 +123,63 @@ void BM_PageRoundTrip(benchmark::State& state) {
                           static_cast<int64_t>(points.size()));
 }
 BENCHMARK(BM_PageRoundTrip);
+
+// 200-point ts2diff + Gorilla pages cut from one generator, as the stores
+// write them (StoreConfig's default page size and codecs).
+std::vector<std::string> GeneratorPages(DatasetKind kind, size_t num_points) {
+  DatasetSpec spec;
+  spec.kind = kind;
+  spec.num_points = num_points;
+  std::vector<Point> points = GenerateDataset(spec);
+  std::vector<std::string> pages;
+  for (size_t begin = 0; begin < points.size(); begin += 200) {
+    std::string page;
+    benchmark::DoNotOptimize(EncodePage(
+        points.data() + begin, std::min<size_t>(200, points.size() - begin),
+        TsCodec::kTs2Diff, ValueCodec::kGorilla, &page, nullptr));
+    pages.push_back(std::move(page));
+  }
+  return pages;
+}
+
+// The read path's decode cost per point: checksum, timestamps and values of
+// every page, each into a fresh vector as LazyChunk does. Arg: generator.
+void BM_DecodePage(benchmark::State& state) {
+  const DatasetKind kind = AllDatasetKinds()[state.range(0)];
+  const std::vector<std::string> pages = GeneratorPages(kind, 100000);
+  for (auto _ : state) {
+    for (const std::string& page : pages) {
+      std::vector<Point> out;
+      benchmark::DoNotOptimize(DecodePage(page, &out));
+      benchmark::DoNotOptimize(out.data());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * 100000);
+  state.SetLabel(DatasetName(kind));
+}
+BENCHMARK(BM_DecodePage)->DenseRange(0, 3);
+
+// The write side of the same pages: flush and compaction pay this per point.
+void BM_EncodePage(benchmark::State& state) {
+  const DatasetKind kind = AllDatasetKinds()[state.range(0)];
+  DatasetSpec spec;
+  spec.kind = kind;
+  spec.num_points = 100000;
+  const std::vector<Point> points = GenerateDataset(spec);
+  for (auto _ : state) {
+    std::string blob;
+    for (size_t begin = 0; begin < points.size(); begin += 200) {
+      benchmark::DoNotOptimize(EncodePage(
+          points.data() + begin, std::min<size_t>(200, points.size() - begin),
+          TsCodec::kTs2Diff, ValueCodec::kGorilla, &blob, nullptr));
+    }
+    benchmark::DoNotOptimize(blob.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(points.size()));
+  state.SetLabel(DatasetName(kind));
+}
+BENCHMARK(BM_EncodePage)->DenseRange(0, 3);
 
 }  // namespace
 }  // namespace tsviz

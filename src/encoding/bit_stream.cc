@@ -2,22 +2,15 @@
 
 namespace tsviz {
 
-void BitWriter::WriteBits(uint64_t value, int bits) {
-  if (bits <= 0) return;
-  if (bits < 64) value &= (uint64_t{1} << bits) - 1;
-  for (int i = bits - 1; i >= 0; --i) {
-    if (bits_in_last_ == 0) bytes_.push_back('\0');
-    uint8_t bit = static_cast<uint8_t>((value >> i) & 1);
-    bytes_.back() = static_cast<char>(
-        static_cast<uint8_t>(bytes_.back()) |
-        static_cast<uint8_t>(bit << (7 - bits_in_last_)));
-    bits_in_last_ = (bits_in_last_ + 1) % 8;
-  }
-  bit_count_ += static_cast<size_t>(bits);
-}
-
 std::string BitWriter::Finish() {
-  bits_in_last_ = 0;
+  // Emit the whole bytes the register holds, the last one zero-padded.
+  const uint64_t aligned =
+      pending_bits_ == 0 ? 0 : pending_ << (64 - pending_bits_);
+  char word[8];
+  StoreBigEndian64(aligned, word);
+  bytes_.append(word, static_cast<size_t>((pending_bits_ + 7) / 8));
+  pending_ = 0;
+  pending_bits_ = 0;
   return std::move(bytes_);
 }
 
@@ -28,16 +21,12 @@ Result<uint64_t> BitReader::ReadBits(int bits) {
   if (static_cast<size_t>(bits) > bits_remaining()) {
     return Status::Corruption("bit stream exhausted");
   }
-  uint64_t out = 0;
-  for (int i = 0; i < bits; ++i) {
-    size_t byte = pos_ / 8;
-    int offset = static_cast<int>(pos_ % 8);
-    uint8_t bit =
-        (static_cast<uint8_t>(data_[byte]) >> (7 - offset)) & 1;
-    out = (out << 1) | bit;
-    ++pos_;
-  }
-  return out;
+  if (bits == 0) return uint64_t{0};
+  const uint64_t word =
+      PeekBits64(reinterpret_cast<const uint8_t*>(data_.data()),
+                 data_.size(), pos_);
+  pos_ += static_cast<size_t>(bits);
+  return word >> (64 - bits);
 }
 
 Result<bool> BitReader::ReadBit() {

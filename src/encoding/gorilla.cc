@@ -21,6 +21,62 @@ double BitsToDouble(uint64_t bits) {
   return v;
 }
 
+// The one Gorilla decode loop; store(i, bits) receives the i-th value's bit
+// pattern. Each value peeks one 64-bit word for its control code and window
+// header, and takes its payload from the same word when it fits. `pos`
+// counts bits. Whole fields are checked against `end` before they are
+// used, so a truncated block fails where the stream runs out, never by
+// decoding the zero fill past it.
+template <typename Store>
+Status DecodeGorillaInto(std::string_view src, size_t count, Store store) {
+  if (count == 0) return Status::OK();
+  if (count > MaxGorillaCount(src.size())) {
+    return Status::Corruption("gorilla block too short for its count");
+  }
+  const auto* data = reinterpret_cast<const uint8_t*>(src.data());
+  const size_t size = src.size();
+  const size_t end = size * 8;
+  uint64_t prev = PeekBits64(data, size, 0);
+  size_t pos = 64;
+  store(0, prev);
+  int prev_trailing = -1;  // -1 until the first window arrives
+  int meaningful = 0;
+  for (size_t i = 1; i < count; ++i) {
+    if (pos >= end) return Status::Corruption("bit stream exhausted");
+    const uint64_t word = PeekBits64(data, size, pos);
+    if ((word >> 63) == 0) {  // control '0': same value
+      ++pos;
+      store(i, prev);
+      continue;
+    }
+    int header;
+    if (((word >> 62) & 1) == 0) {  // control '10': reuse the window
+      if (prev_trailing < 0) {
+        return Status::Corruption("gorilla reuse before any window");
+      }
+      header = 2;
+    } else {  // control '11': 5-bit leading count + 6-bit length
+      header = 13;
+      const int leading = static_cast<int>((word >> 57) & 31);
+      const int length = static_cast<int>((word >> 51) & 63);
+      meaningful = length == 0 ? 64 : length;
+      prev_trailing = 64 - leading - meaningful;
+      if (prev_trailing < 0) return Status::Corruption("bad gorilla window");
+    }
+    const size_t field_end =
+        pos + static_cast<size_t>(header) + static_cast<size_t>(meaningful);
+    if (field_end > end) return Status::Corruption("bit stream exhausted");
+    const uint64_t payload =
+        header + meaningful <= 64
+            ? word << header
+            : PeekBits64(data, size, pos + static_cast<size_t>(header));
+    pos = field_end;
+    prev ^= (payload >> (64 - meaningful)) << prev_trailing;
+    store(i, prev);
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Status EncodeGorilla(const std::vector<Value>& values, std::string* dst) {
@@ -38,23 +94,23 @@ Status EncodeGorilla(const std::vector<Value>& values, std::string* dst) {
       writer.WriteBit(false);  // control '0': same value
       continue;
     }
-    writer.WriteBit(true);
     int leading = std::countl_zero(x);
     int trailing = std::countr_zero(x);
     if (leading > 31) leading = 31;  // 5-bit field
     if (prev_leading >= 0 && leading >= prev_leading &&
         trailing >= prev_trailing) {
       // Control '10': meaningful bits fit inside the previous window.
-      writer.WriteBit(false);
+      writer.WriteBits(0b10, 2);
       int meaningful = 64 - prev_leading - prev_trailing;
       writer.WriteBits(x >> prev_trailing, meaningful);
     } else {
-      // Control '11': new window = 5-bit leading count + 6-bit length.
-      writer.WriteBit(true);
+      // Control '11': new window = 5-bit leading count + 6-bit length, one
+      // 13-bit field. meaningful is in [1, 64]; 64 is stored as 0.
       int meaningful = 64 - leading - trailing;
-      writer.WriteBits(static_cast<uint64_t>(leading), 5);
-      // meaningful is in [1, 64]; store 64 as 0 in the 6-bit field.
-      writer.WriteBits(static_cast<uint64_t>(meaningful & 63), 6);
+      writer.WriteBits((uint64_t{0b11} << 11) |
+                           (static_cast<uint64_t>(leading) << 6) |
+                           static_cast<uint64_t>(meaningful & 63),
+                       13);
       writer.WriteBits(x >> trailing, meaningful);
       prev_leading = leading;
       prev_trailing = trailing;
@@ -67,43 +123,22 @@ Status EncodeGorilla(const std::vector<Value>& values, std::string* dst) {
 Status DecodeGorilla(std::string_view src, size_t count,
                      std::vector<Value>* out) {
   out->clear();
-  if (count == 0) return Status::OK();
-  out->reserve(count);
-  BitReader reader(src);
-  TSVIZ_ASSIGN_OR_RETURN(uint64_t prev, reader.ReadBits(64));
-  out->push_back(BitsToDouble(prev));
-  int prev_leading = -1;
-  int prev_trailing = -1;
-  for (size_t i = 1; i < count; ++i) {
-    TSVIZ_ASSIGN_OR_RETURN(bool changed, reader.ReadBit());
-    if (!changed) {
-      out->push_back(BitsToDouble(prev));
-      continue;
-    }
-    TSVIZ_ASSIGN_OR_RETURN(bool new_window, reader.ReadBit());
-    int leading;
-    int meaningful;
-    if (new_window) {
-      TSVIZ_ASSIGN_OR_RETURN(uint64_t lead_bits, reader.ReadBits(5));
-      TSVIZ_ASSIGN_OR_RETURN(uint64_t len_bits, reader.ReadBits(6));
-      leading = static_cast<int>(lead_bits);
-      meaningful = len_bits == 0 ? 64 : static_cast<int>(len_bits);
-      prev_leading = leading;
-      prev_trailing = 64 - leading - meaningful;
-      if (prev_trailing < 0) return Status::Corruption("bad gorilla window");
-    } else {
-      if (prev_leading < 0) {
-        return Status::Corruption("gorilla reuse before any window");
-      }
-      leading = prev_leading;
-      meaningful = 64 - prev_leading - prev_trailing;
-    }
-    TSVIZ_ASSIGN_OR_RETURN(uint64_t payload, reader.ReadBits(meaningful));
-    uint64_t x = payload << prev_trailing;
-    prev ^= x;
-    out->push_back(BitsToDouble(prev));
+  if (count > MaxGorillaCount(src.size())) {
+    return Status::Corruption("gorilla block too short for its count");
   }
-  return Status::OK();
+  out->resize(count);
+  Value* dst = out->data();
+  Status status = DecodeGorillaInto(src, count, [dst](size_t i, uint64_t bits) {
+    dst[i] = BitsToDouble(bits);
+  });
+  if (!status.ok()) out->clear();
+  return status;
+}
+
+Status DecodeGorilla(std::string_view src, size_t count, Point* out) {
+  return DecodeGorillaInto(src, count, [out](size_t i, uint64_t bits) {
+    out[i].v = BitsToDouble(bits);
+  });
 }
 
 }  // namespace tsviz

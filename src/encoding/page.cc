@@ -65,13 +65,35 @@ Status EncodePage(const Point* points, size_t count, TsCodec ts_codec,
   return Status::OK();
 }
 
+namespace {
+
+// The most points a timestamp block of `bytes` bytes can hold. Both
+// timestamp codecs spend at least a byte per point, so this bounds the
+// allocation by the page's own size.
+size_t MaxTimestampCount(TsCodec codec, size_t bytes) {
+  return codec == TsCodec::kPlain ? MaxPlainCount(bytes)
+                                  : MaxTs2DiffCount(bytes);
+}
+
+Status DecodeValues(ValueCodec codec, std::string_view block, size_t count,
+                    Point* out) {
+  switch (codec) {
+    case ValueCodec::kPlain:
+      return DecodePlainValues(block, count, out);
+    case ValueCodec::kGorilla:
+      return DecodeGorilla(block, count, out);
+    case ValueCodec::kRle:
+      return DecodeRle(block, count, out);
+  }
+  return Status::Corruption("unknown value codec");
+}
+
+}  // namespace
+
 Status DecodePage(std::string_view src, std::vector<Point>* out) {
   if (src.size() < 8) return Status::Corruption("page too small");
   std::string_view body = src.substr(0, src.size() - 8);
-  std::string_view checksum_view = src.substr(src.size() - 8);
-  TSVIZ_ASSIGN_OR_RETURN(uint64_t stored_checksum,
-                         GetFixed64(&checksum_view));
-  if (Fnv1a64(body) != stored_checksum) {
+  if (Fnv1a64(body) != DecodeFixed64(src.data() + body.size())) {
     return Status::Corruption("page checksum mismatch");
   }
 
@@ -88,51 +110,33 @@ Status DecodePage(std::string_view src, std::vector<Point>* out) {
   TSVIZ_ASSIGN_OR_RETURN(std::string_view value_block,
                          GetLengthPrefixed(&body));
 
-  std::vector<Timestamp> timestamps;
-  switch (ts_codec) {
-    case TsCodec::kPlain: {
-      std::string_view cursor = ts_block;
-      TSVIZ_RETURN_IF_ERROR(DecodePlainTimestamps(&cursor, count,
-                                                  &timestamps));
-      break;
-    }
-    case TsCodec::kTs2Diff: {
-      std::string_view cursor = ts_block;
-      TSVIZ_RETURN_IF_ERROR(DecodeTs2Diff(&cursor, count, &timestamps));
-      break;
-    }
-    default:
-      return Status::Corruption("unknown timestamp codec");
+  if (ts_codec != TsCodec::kPlain && ts_codec != TsCodec::kTs2Diff) {
+    return Status::Corruption("unknown timestamp codec");
+  }
+  if (count == 0) return Status::Corruption("page block size mismatch");
+  // Bound the count before allocating: a re-stamped checksum can make any
+  // count varint look valid.
+  if (count > MaxTimestampCount(ts_codec, ts_block.size())) {
+    return Status::Corruption("page count exceeds its timestamp block");
   }
 
-  std::vector<Value> values;
-  switch (value_codec) {
-    case ValueCodec::kPlain:
-      TSVIZ_RETURN_IF_ERROR(DecodePlainValues(value_block, count, &values));
-      break;
-    case ValueCodec::kGorilla:
-      TSVIZ_RETURN_IF_ERROR(DecodeGorilla(value_block, count, &values));
-      break;
-    case ValueCodec::kRle:
-      TSVIZ_RETURN_IF_ERROR(DecodeRle(value_block, count, &values));
-      break;
-    default:
-      return Status::Corruption("unknown value codec");
+  // Decode straight into the caller's vector; on failure it is restored.
+  const size_t base = out->size();
+  out->resize(base + count);
+  Point* points = out->data() + base;
+  std::string_view cursor = ts_block;
+  Status status = ts_codec == TsCodec::kPlain
+                      ? DecodePlainTimestamps(&cursor, count, points)
+                      : DecodeTs2Diff(&cursor, count, points);
+  if (status.ok()) {
+    status = DecodeValues(value_codec, value_block, count, points);
   }
-
-  if (timestamps.size() != count || values.size() != count || count == 0) {
-    return Status::Corruption("page block size mismatch");
+  if (status.ok() && (points[0].t != static_cast<Timestamp>(min_raw) ||
+                      points[count - 1].t != static_cast<Timestamp>(max_raw))) {
+    status = Status::Corruption("page time bounds mismatch");
   }
-  if (timestamps.front() != static_cast<Timestamp>(min_raw) ||
-      timestamps.back() != static_cast<Timestamp>(max_raw)) {
-    return Status::Corruption("page time bounds mismatch");
-  }
-
-  out->reserve(out->size() + count);
-  for (size_t i = 0; i < count; ++i) {
-    out->push_back(Point{timestamps[i], values[i]});
-  }
-  return Status::OK();
+  if (!status.ok()) out->resize(base);
+  return status;
 }
 
 }  // namespace tsviz

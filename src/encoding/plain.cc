@@ -1,5 +1,6 @@
 #include "encoding/plain.h"
 
+#include <bit>
 #include <cstring>
 
 #include "encoding/varint.h"
@@ -15,13 +16,14 @@ Status EncodePlainTimestamps(const std::vector<Timestamp>& timestamps,
 }
 
 Status DecodePlainTimestamps(std::string_view* src, size_t count,
-                             std::vector<Timestamp>* out) {
-  out->clear();
-  out->reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    TSVIZ_ASSIGN_OR_RETURN(uint64_t raw, GetFixed64(src));
-    out->push_back(static_cast<Timestamp>(raw));
+                             Point* out) {
+  if (count > MaxPlainCount(src->size())) {
+    return Status::Corruption("plain block too short for its count");
   }
+  for (size_t i = 0; i < count; ++i) {
+    out[i].t = static_cast<Timestamp>(DecodeFixed64(src->data() + 8 * i));
+  }
+  src->remove_prefix(8 * count);
   return Status::OK();
 }
 
@@ -37,12 +39,22 @@ Status EncodePlainValues(const std::vector<Value>& values, std::string* dst) {
 Status DecodePlainValues(std::string_view src, size_t count,
                          std::vector<Value>* out) {
   out->clear();
-  out->reserve(count);
+  if (count > MaxPlainCount(src.size())) {
+    return Status::Corruption("plain block too short for its count");
+  }
+  out->resize(count);
   for (size_t i = 0; i < count; ++i) {
-    TSVIZ_ASSIGN_OR_RETURN(uint64_t bits, GetFixed64(&src));
-    Value v;
-    std::memcpy(&v, &bits, sizeof(v));
-    out->push_back(v);
+    (*out)[i] = std::bit_cast<Value>(DecodeFixed64(src.data() + 8 * i));
+  }
+  return Status::OK();
+}
+
+Status DecodePlainValues(std::string_view src, size_t count, Point* out) {
+  if (count > MaxPlainCount(src.size())) {
+    return Status::Corruption("plain block too short for its count");
+  }
+  for (size_t i = 0; i < count; ++i) {
+    out[i].v = std::bit_cast<Value>(DecodeFixed64(src.data() + 8 * i));
   }
   return Status::OK();
 }

@@ -17,8 +17,14 @@ namespace tsviz {
 
 Status EncodeRle(const std::vector<Value>& values, std::string* dst);
 
+// Decodes exactly `count` values. A run holds any number of points, so the
+// block's own run lengths bound `count`: they are checked before the output
+// is allocated.
 Status DecodeRle(std::string_view src, size_t count,
                  std::vector<Value>* out);
+
+// Same, but writes out[i].v for i < count; `out` must hold count points.
+Status DecodeRle(std::string_view src, size_t count, Point* out);
 
 }  // namespace tsviz
 

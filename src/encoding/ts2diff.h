@@ -21,9 +21,19 @@ namespace tsviz {
 Status EncodeTs2Diff(const std::vector<Timestamp>& timestamps,
                      std::string* dst);
 
+// The most timestamps a block of `bytes` bytes can hold: the first takes 8
+// bytes and every later one at least one. Decoders reject a larger count
+// before they allocate or write anything.
+inline size_t MaxTs2DiffCount(size_t bytes) {
+  return bytes < 8 ? 0 : bytes - 7;
+}
+
 // Decodes exactly `count` timestamps from the front of *src, advancing it.
 Status DecodeTs2Diff(std::string_view* src, size_t count,
                      std::vector<Timestamp>* out);
+
+// Same, but writes out[i].t for i < count; `out` must hold count points.
+Status DecodeTs2Diff(std::string_view* src, size_t count, Point* out);
 
 }  // namespace tsviz
 

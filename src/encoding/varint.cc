@@ -14,16 +14,33 @@ void PutVarint32(std::string* dst, uint32_t value) {
   PutVarint64(dst, value);
 }
 
+const char* DecodeVarint64Slow(const char* p, const char* limit,
+                               uint64_t* value) {
+  uint64_t result = 0;
+  for (int shift = 0; shift <= 63; shift += 7) {
+    if (p >= limit) return nullptr;
+    const uint8_t byte = static_cast<uint8_t>(*p++);
+    result |= static_cast<uint64_t>(byte & 0x7f) << shift;
+    if ((byte & 0x80) == 0) {
+      *value = result;
+      return p;
+    }
+  }
+  return nullptr;
+}
+
 Result<uint64_t> GetVarint64(std::string_view* src) {
   uint64_t value = 0;
-  for (int shift = 0; shift <= 63; shift += 7) {
-    if (src->empty()) return Status::Corruption("truncated varint");
-    uint8_t byte = static_cast<uint8_t>(src->front());
-    src->remove_prefix(1);
-    value |= static_cast<uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) return value;
+  const char* end = src->data() + src->size();
+  const char* next = DecodeVarint64(src->data(), end, &value);
+  if (next == nullptr) {
+    // Ten bytes all carrying a continuation bit is over-long; anything
+    // shorter ran out of input.
+    return Status::Corruption(src->size() >= 10 ? "varint too long"
+                                                : "truncated varint");
   }
-  return Status::Corruption("varint too long");
+  src->remove_prefix(static_cast<size_t>(next - src->data()));
+  return value;
 }
 
 Result<uint32_t> GetVarint32(std::string_view* src) {
@@ -56,10 +73,7 @@ Result<uint32_t> GetFixed32(std::string_view* src) {
 
 Result<uint64_t> GetFixed64(std::string_view* src) {
   if (src->size() < 8) return Status::Corruption("truncated fixed64");
-  uint64_t value = 0;
-  for (int i = 0; i < 8; ++i) {
-    value |= static_cast<uint64_t>(static_cast<uint8_t>((*src)[i])) << (8 * i);
-  }
+  const uint64_t value = DecodeFixed64(src->data());
   src->remove_prefix(8);
   return value;
 }

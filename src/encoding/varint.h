@@ -1,7 +1,9 @@
 #ifndef TSVIZ_ENCODING_VARINT_H_
 #define TSVIZ_ENCODING_VARINT_H_
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 
@@ -15,6 +17,21 @@ namespace tsviz {
 
 void PutVarint64(std::string* dst, uint64_t value);
 void PutVarint32(std::string* dst, uint32_t value);
+
+// Decodes one varint from [p, limit) into *value and returns the byte after
+// it, or nullptr when the input is truncated or over-long (more than ten
+// bytes). The raw-pointer form of GetVarint64 for the timestamp codec's
+// inner loop; one-byte varints never leave the inline fast path.
+const char* DecodeVarint64Slow(const char* p, const char* limit,
+                               uint64_t* value);
+inline const char* DecodeVarint64(const char* p, const char* limit,
+                                  uint64_t* value) {
+  if (p < limit && (static_cast<uint8_t>(*p) & 0x80) == 0) {
+    *value = static_cast<uint8_t>(*p);
+    return p + 1;
+  }
+  return DecodeVarint64Slow(p, limit, value);
+}
 
 // Reads one varint from the front of *src, advancing it. Fails with
 // kCorruption on truncated or over-long input.
@@ -40,6 +57,15 @@ inline Result<int64_t> GetSignedVarint64(std::string_view* src) {
 }
 
 // Little-endian fixed-width helpers (file format primitives).
+inline uint64_t DecodeFixed64(const char* p) {
+  uint64_t value;
+  std::memcpy(&value, p, sizeof(value));
+  if constexpr (std::endian::native == std::endian::big) {
+    value = __builtin_bswap64(value);
+  }
+  return value;
+}
+
 void PutFixed32(std::string* dst, uint32_t value);
 void PutFixed64(std::string* dst, uint64_t value);
 Result<uint32_t> GetFixed32(std::string_view* src);

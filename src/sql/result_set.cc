@@ -1,7 +1,7 @@
 #include "sql/result_set.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
 
 #include "common/logging.h"
 
@@ -12,17 +12,37 @@ void ResultSet::AddRow(std::vector<Cell> cells) {
   rows_.push_back(std::move(cells));
 }
 
+namespace {
+
+// Appends one cell's text. Integers go through std::to_chars, doubles
+// through std::to_chars(general, 10), which the standard defines as
+// printf("%.10g") — so the text is the same, without a string per cell.
+void AppendCell(const ResultSet::Cell& cell, std::string* out) {
+  if (const auto* s = std::get_if<std::string>(&cell)) {
+    out->append(*s);
+    return;
+  }
+  if (std::holds_alternative<std::monostate>(cell)) {
+    out->append("null");
+    return;
+  }
+  char buf[32];
+  std::to_chars_result result;
+  if (const auto* i = std::get_if<int64_t>(&cell)) {
+    result = std::to_chars(buf, buf + sizeof(buf), *i);
+  } else {
+    result = std::to_chars(buf, buf + sizeof(buf), std::get<double>(cell),
+                           std::chars_format::general, 10);
+  }
+  out->append(buf, result.ptr);
+}
+
+}  // namespace
+
 std::string ResultSet::CellToString(const Cell& cell) {
-  if (std::holds_alternative<std::monostate>(cell)) return "null";
-  if (std::holds_alternative<int64_t>(cell)) {
-    return std::to_string(std::get<int64_t>(cell));
-  }
-  if (std::holds_alternative<std::string>(cell)) {
-    return std::get<std::string>(cell);
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.10g", std::get<double>(cell));
-  return buf;
+  std::string out;
+  AppendCell(cell, &out);
+  return out;
 }
 
 std::string ResultSet::ToString(size_t max_rows) const {
@@ -66,6 +86,8 @@ std::string ResultSet::ToString(size_t max_rows) const {
 
 std::string ResultSet::ToCsv() const {
   std::string out;
+  // Room for a typical cell (an M4 timestamp or a %.10g value) plus comma.
+  out.reserve((rows_.size() + 1) * columns_.size() * 18);
   for (size_t c = 0; c < columns_.size(); ++c) {
     if (c > 0) out += ',';
     out += columns_[c];
@@ -74,7 +96,7 @@ std::string ResultSet::ToCsv() const {
   for (const auto& row : rows_) {
     for (size_t c = 0; c < row.size(); ++c) {
       if (c > 0) out += ',';
-      out += CellToString(row[c]);
+      AppendCell(row[c], &out);
     }
     out += '\n';
   }

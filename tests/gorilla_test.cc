@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "reference_codec.h"
 #include "test_util.h"
 
 namespace tsviz {
@@ -111,6 +112,34 @@ TEST(GorillaTest, DecodingMoreThanEncodedFails) {
   std::vector<Value> decoded;
   // Asking for 100 values walks off the end of the bit stream.
   EXPECT_FALSE(DecodeGorilla(buf, 100, &decoded).ok());
+}
+
+// Cuts an encoded block at every byte length and asks for every count up to
+// the full one: the decoder must fail exactly where the per-bit reference
+// fails — including a payload cut inside the last value — and otherwise
+// return the same values.
+TEST(GorillaTest, EveryTruncationMatchesReference) {
+  Rng rng(5);
+  std::vector<Value> values = {1.0, 1.0, 2.0, -3.5, 1e300, 0.0, 0.0, 7.25};
+  for (int i = 0; i < 24; ++i) values.push_back(rng.UniformReal(-10, 10));
+  std::string buf;
+  ASSERT_OK(EncodeGorilla(values, &buf));
+  for (size_t keep = 0; keep <= buf.size(); ++keep) {
+    const std::string_view block = std::string_view(buf).substr(0, keep);
+    for (size_t count = 0; count <= values.size(); ++count) {
+      std::vector<Value> got;
+      std::vector<Value> want;
+      Status got_status = DecodeGorilla(block, count, &got);
+      Status want_status = reference::DecodeGorilla(block, count, &want);
+      ASSERT_EQ(got_status.ok(), want_status.ok())
+          << "keep " << keep << " count " << count;
+      if (got_status.ok()) {
+        ASSERT_EQ(got, want) << "keep " << keep << " count " << count;
+      } else {
+        EXPECT_EQ(got_status.code(), StatusCode::kCorruption);
+      }
+    }
+  }
 }
 
 }  // namespace

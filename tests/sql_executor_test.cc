@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <limits>
 #include <memory>
 
 #include "common/env.h"
@@ -921,6 +925,75 @@ TEST_F(SqlExecutorTest, InsertBatchFailureReportsEveryStatementOfTheRun) {
     EXPECT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   }
+}
+
+// The CSV reply renders doubles with std::to_chars(general, 10); it must
+// read exactly as printf("%.10g") did, and integers as std::to_string.
+TEST(ResultSetFormatTest, CellsRenderAsPrintfAndToString) {
+  std::vector<double> doubles = {0.0,
+                                 -0.0,
+                                 1.0,
+                                 -1.0,
+                                 0.1,
+                                 2.5,
+                                 1e10,
+                                 1234567890.0,
+                                 12345678901.0,
+                                 1e-5,
+                                 0.0001,
+                                 123456.789,
+                                 -99.5,
+                                 std::numeric_limits<double>::max(),
+                                 std::numeric_limits<double>::lowest(),
+                                 std::numeric_limits<double>::min(),
+                                 std::numeric_limits<double>::denorm_min(),
+                                 std::numeric_limits<double>::infinity(),
+                                 -std::numeric_limits<double>::infinity(),
+                                 std::numeric_limits<double>::quiet_NaN(),
+                                 -std::numeric_limits<double>::quiet_NaN()};
+  for (int e = -1074; e <= 1023; ++e) {
+    doubles.push_back(std::ldexp(1.0, e));
+    doubles.push_back(-std::ldexp(1.0, e));
+  }
+  Rng rng(17);
+  for (int i = 0; i < 20000; ++i) {
+    const uint64_t bits = rng.engine()();
+    double v;
+    std::memcpy(&v, &bits, sizeof(v));
+    doubles.push_back(v);
+    doubles.push_back(static_cast<double>(rng.Uniform(-100000000, 100000000)) /
+                      std::pow(10.0, static_cast<double>(rng.Uniform(0, 9))));
+  }
+  ResultSet table({"v"});
+  for (double v : doubles) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.10g", v);
+    ASSERT_EQ(ResultSet::CellToString(ResultSet::Cell(v)), buf);
+    table.AddRow({ResultSet::Cell(v)});
+  }
+  std::string expected_csv = "v\n";
+  for (double v : doubles) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.10g", v);
+    expected_csv += std::string(buf) + "\n";
+  }
+  EXPECT_EQ(table.ToCsv(), expected_csv);
+
+  for (int64_t i : {int64_t{0}, int64_t{-1}, int64_t{42},
+                    std::numeric_limits<int64_t>::min(),
+                    std::numeric_limits<int64_t>::max()}) {
+    EXPECT_EQ(ResultSet::CellToString(ResultSet::Cell(i)), std::to_string(i));
+  }
+  EXPECT_EQ(ResultSet::CellToString(ResultSet::Cell()), "null");
+  EXPECT_EQ(ResultSet::CellToString(ResultSet::Cell(std::string("a b"))),
+            "a b");
+
+  ResultSet mixed({"t", "v", "note"});
+  mixed.AddRow({ResultSet::Cell(int64_t{-7}), ResultSet::Cell(0.5),
+                 ResultSet::Cell()});
+  mixed.AddRow({ResultSet::Cell(int64_t{1700000000000}), ResultSet::Cell(),
+                ResultSet::Cell(std::string("x"))});
+  EXPECT_EQ(mixed.ToCsv(), "t,v,note\n-7,0.5,null\n1700000000000,null,x\n");
 }
 
 }  // namespace

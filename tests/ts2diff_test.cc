@@ -5,6 +5,8 @@
 #include <vector>
 
 #include "common/random.h"
+#include "encoding/varint.h"
+#include "reference_codec.h"
 #include "test_util.h"
 
 namespace tsviz {
@@ -87,6 +89,46 @@ TEST(Ts2DiffTest, CorruptDeltaDetected) {
   std::vector<Timestamp> decoded;
   EXPECT_EQ(DecodeTs2Diff(&view, 4, &decoded).code(),
             StatusCode::kCorruption);
+}
+
+TEST(Ts2DiffTest, ZeroOrNegativeDeltaIsCorruption) {
+  for (int64_t second_dd : {int64_t{-5}, int64_t{-6}}) {
+    // t0 = 10, first delta 5, then a delta of 0 (dd -5) or -1 (dd -6).
+    std::string buf;
+    PutFixed64(&buf, 10);
+    PutSignedVarint64(&buf, 5);
+    PutSignedVarint64(&buf, second_dd);
+    std::string_view view = buf;
+    std::vector<Timestamp> decoded;
+    EXPECT_EQ(DecodeTs2Diff(&view, 3, &decoded).code(),
+              StatusCode::kCorruption)
+        << second_dd;
+  }
+}
+
+TEST(Ts2DiffTest, EveryTruncationMatchesReference) {
+  std::vector<Timestamp> ts = {-1000, 0, 1, 3, 300, 100000, 100001};
+  Rng rng(9);
+  for (int i = 0; i < 16; ++i) {
+    ts.push_back(ts.back() + rng.Uniform(1, int64_t{1} << 40));
+  }
+  std::string buf;
+  ASSERT_OK(EncodeTs2Diff(ts, &buf));
+  for (size_t keep = 0; keep <= buf.size(); ++keep) {
+    const std::string_view block = std::string_view(buf).substr(0, keep);
+    for (size_t count = 0; count <= ts.size(); ++count) {
+      std::string_view view = block;
+      std::vector<Timestamp> got;
+      std::vector<Timestamp> want;
+      Status got_status = DecodeTs2Diff(&view, count, &got);
+      Status want_status = reference::DecodeTs2Diff(block, count, &want);
+      ASSERT_EQ(got_status.ok(), want_status.ok())
+          << "keep " << keep << " count " << count;
+      if (got_status.ok()) {
+        ASSERT_EQ(got, want);
+      }
+    }
+  }
 }
 
 }  // namespace
