@@ -29,7 +29,9 @@ class Trace;  // defined in obs/trace.h; common only carries the pointer
   X(index_lookups)                  \
   X(partitions_scanned)             \
   X(partitions_pruned)              \
-  X(chunks_quarantined)
+  X(chunks_quarantined)             \
+  X(exact_loads)                    \
+  X(value_orders)
 
 // Cost counters accumulated while serving one query (or one experiment run).
 // The benches report these alongside wall-clock latency so that the
@@ -47,6 +49,8 @@ struct QueryStats {
   uint64_t partitions_scanned = 0;  // partitions whose metadata was consulted
   uint64_t partitions_pruned = 0;   // partitions ruled out by interval alone
   uint64_t chunks_quarantined = 0;  // corrupt chunks skipped by selection
+  uint64_t exact_loads = 0;   // M4-LSM span views rebuilt from decoded points
+  uint64_t value_orders = 0;  // exact views whose points were sorted by value
 
   // True when any data the query wanted was skipped as corrupt
   // (read_tolerance=degrade): the result covers the surviving chunks only.

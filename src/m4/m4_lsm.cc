@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <vector>
 
@@ -19,6 +20,10 @@ namespace {
 // hitting it indicates a logic bug, not a pathological input, and turns an
 // infinite loop into a diagnosable error.
 constexpr uint64_t kMaxRounds = 1u << 22;
+
+// Point-vs-timestamp orders for lower_bound/upper_bound over a page.
+bool TimeBefore(const Point& p, Timestamp t) { return p.t < t; }
+bool TimeAfter(Timestamp t, const Point& p) { return t < p.t; }
 
 // Query-lifetime state for one chunk: the lazily loaded pages and the index
 // searcher are shared across every span the chunk intersects.
@@ -49,7 +54,9 @@ struct SpanView {
 
   bool exact = false;            // live points materialized for this span
   std::vector<Point> live;       // live-under-deletes points inside the span
-  std::vector<uint32_t> by_value;  // indices into live, sorted by value asc
+  // Indices into live sorted by (value, time) ascending. Empty until the
+  // first pop past an overwritten extreme (EnsureValueOrder).
+  std::vector<uint32_t> by_value;
   size_t bottom_cursor = 0;      // consumed prefix of by_value (BP pops)
   size_t top_cursor = 0;         // consumed suffix of by_value (TP pops)
 
@@ -98,6 +105,10 @@ class M4LsmExecutor {
   // point set and statistics under deletes (Table 1 case c).
   Status LoadExact(SpanView& view, const TimeRange& span);
 
+  // Builds an exact view's by_value order if it is not built yet. Its two
+  // ends are the bottom and top that LoadExact found.
+  void EnsureValueOrder(SpanView& view);
+
   // --- delete handling -----------------------------------------------------
 
   // Whether a point at `t` written at `version` is removed by a later delete
@@ -126,8 +137,15 @@ class M4LsmExecutor {
   QueryStats* stats_;
   M4LsmOptions options_;
   DataReader data_reader_;
-  std::vector<DeleteRecord> deletes_;       // real deletes in the query range
+  // Real deletes in the query range, by start time, so every subset taken
+  // from them is in start order too.
+  std::vector<DeleteRecord> deletes_;
   std::vector<DeleteRecord> span_deletes_;  // subset overlapping current span
+  // Scratch reused across calls: LoadExact's deletes newer than the chunk,
+  // and SolveExtreme's tied candidates and views to load.
+  std::vector<TimeRange> newer_deletes_;
+  std::vector<SpanView*> ties_;
+  std::vector<SpanView*> to_reload_;
   uint64_t rounds_ = 0;
 };
 
@@ -338,22 +356,40 @@ Result<std::optional<Point>> M4LsmExecutor::SolveLast(
 
 Status M4LsmExecutor::LoadExact(SpanView& view, const TimeRange& span) {
   obs::TraceSpan span_load(trace(), "lazy_chunk_load");
+  if (stats_ != nullptr) ++stats_->exact_loads;
   view.exact = true;
   view.live.clear();
+  view.by_value.clear();
+  view.bottom_cursor = 0;
+  view.top_cursor = 0;
+
+  // Clipping each page to the span applies the virtual deletes; the real
+  // ones that can cover this chunk are the later ones.
+  newer_deletes_.clear();
+  for (const DeleteRecord& del : span_deletes_) {
+    if (del.version > view.version()) newer_deletes_.push_back(del.range);
+  }
+
   const auto& pages = view.chunk->lazy->pages();
   for (size_t pi = LocatePageBinary(pages, span.start);
        pi < pages.size() && pages[pi].min_t <= span.end; ++pi) {
     TSVIZ_ASSIGN_OR_RETURN(const std::vector<Point>* points,
                            view.chunk->lazy->GetPage(pi));
-    auto it = std::lower_bound(
-        points->begin(), points->end(), span.start,
-        [](const Point& p, Timestamp t) { return p.t < t; });
-    for (; it != points->end() && it->t <= span.end; ++it) {
-      if (stats_ != nullptr) ++stats_->points_scanned;
-      if (!IsCovered(it->t, view.version(), span)) {
-        view.live.push_back(*it);
-      }
+    auto it = std::lower_bound(points->begin(), points->end(), span.start,
+                               TimeBefore);
+    const auto end = std::upper_bound(it, points->end(), span.end, TimeAfter);
+    if (stats_ != nullptr) {
+      stats_->points_scanned += static_cast<uint64_t>(end - it);
     }
+    // Copy the runs between deletes. Taken in start order, a delete that
+    // ends before the cursor finds an empty run and leaves the cursor put.
+    for (const TimeRange& del : newer_deletes_) {
+      if (it == end) break;
+      const auto run_end = std::lower_bound(it, end, del.start, TimeBefore);
+      view.live.insert(view.live.end(), it, run_end);
+      it = std::upper_bound(run_end, end, del.end, TimeAfter);
+    }
+    view.live.insert(view.live.end(), it, end);
   }
 
   if (view.live.empty()) {
@@ -368,8 +404,25 @@ Status M4LsmExecutor::LoadExact(SpanView& view, const TimeRange& span) {
   view.first = TimeEntry{view.live.front(), /*tight=*/true};
   view.last = TimeEntry{view.live.back(), /*tight=*/true};
 
+  // The two ends of the (value, time) order in one pass: the earliest
+  // minimum and the latest maximum. -0.0 == +0.0, so a signed-zero tie is
+  // decided by time like any other.
+  const Point* lowest = &view.live.front();
+  const Point* highest = lowest;
+  for (const Point& p : view.live) {
+    if (p.v < lowest->v) lowest = &p;
+    if (p.v >= highest->v) highest = &p;
+  }
+  view.bottom = *lowest;
+  view.top = *highest;
+  return Status::OK();
+}
+
+void M4LsmExecutor::EnsureValueOrder(SpanView& view) {
+  if (!view.by_value.empty()) return;
+  if (stats_ != nullptr) ++stats_->value_orders;
   view.by_value.resize(view.live.size());
-  for (uint32_t i = 0; i < view.live.size(); ++i) view.by_value[i] = i;
+  std::iota(view.by_value.begin(), view.by_value.end(), 0u);
   std::sort(view.by_value.begin(), view.by_value.end(),
             [&view](uint32_t a, uint32_t b) {
               if (view.live[a].v != view.live[b].v) {
@@ -377,11 +430,6 @@ Status M4LsmExecutor::LoadExact(SpanView& view, const TimeRange& span) {
               }
               return view.live[a].t < view.live[b].t;
             });
-  view.bottom_cursor = 0;
-  view.top_cursor = 0;
-  view.bottom = view.live[view.by_value.front()];
-  view.top = view.live[view.by_value.back()];
-  return Status::OK();
 }
 
 Result<std::optional<Point>> M4LsmExecutor::SolveExtreme(
@@ -399,26 +447,26 @@ Result<std::optional<Point>> M4LsmExecutor::SolveExtreme(
     // Candidate generation: entries attaining the extreme value, by
     // descending version (the largest-version one is P_G, the rest are the
     // fallbacks of Section 3.4's lazy strategy).
-    std::vector<SpanView*> ties;
+    ties_.clear();
     for (SpanView& view : views) {
       std::optional<Point>& entry = entry_of(view);
       if (!entry.has_value()) continue;
-      if (ties.empty() || better(entry->v, (*entry_of(*ties.front())).v)) {
-        ties.clear();
-        ties.push_back(&view);
-      } else if (entry->v == (*entry_of(*ties.front())).v) {
-        ties.push_back(&view);
+      if (ties_.empty() || better(entry->v, (*entry_of(*ties_.front())).v)) {
+        ties_.clear();
+        ties_.push_back(&view);
+      } else if (entry->v == (*entry_of(*ties_.front())).v) {
+        ties_.push_back(&view);
       }
     }
-    if (ties.empty()) return std::optional<Point>();
-    std::sort(ties.begin(), ties.end(), [](SpanView* a, SpanView* b) {
+    if (ties_.empty()) return std::optional<Point>();
+    std::sort(ties_.begin(), ties_.end(), [](SpanView* a, SpanView* b) {
       return a->version() > b->version();
     });
 
-    std::vector<SpanView*> to_reload;
+    to_reload_.clear();
     bool progressed = false;
     std::optional<Point> found;
-    for (SpanView* view : ties) {
+    for (SpanView* view : ties_) {
       const Point cand = *entry_of(*view);
       // Verification (Proposition 3.3), case analysis of Section 3.4.
       bool invalid = IsCovered(cand.t, view->version(), span);
@@ -444,24 +492,27 @@ Result<std::optional<Point>> M4LsmExecutor::SolveExtreme(
         // live point.
         if (view->bottom_cursor + view->top_cursor + 1 >= view->live.size()) {
           entry_of(*view).reset();
-        } else if (bottom) {
-          ++view->bottom_cursor;
-          view->bottom = view->live[view->by_value[view->bottom_cursor]];
         } else {
-          ++view->top_cursor;
-          view->top = view->live[view->by_value[view->by_value.size() - 1 -
-                                                view->top_cursor]];
+          EnsureValueOrder(*view);
+          if (bottom) {
+            ++view->bottom_cursor;
+            view->bottom = view->live[view->by_value[view->bottom_cursor]];
+          } else {
+            ++view->top_cursor;
+            view->top = view->live[view->by_value[view->by_value.size() - 1 -
+                                                  view->top_cursor]];
+          }
         }
         progressed = true;
       } else {
-        to_reload.push_back(view);
+        to_reload_.push_back(view);
       }
     }
     if (found.has_value()) return found;
 
     // All extreme candidates are non-latest: load the affected chunks and
     // recompute their metadata under deletes and updates.
-    for (SpanView* view : to_reload) {
+    for (SpanView* view : to_reload_) {
       TSVIZ_RETURN_IF_ERROR(LoadExact(*view, span));
       progressed = true;
     }
@@ -527,6 +578,10 @@ Result<M4Result> M4LsmExecutor::Run() {
     std::vector<ChunkHandle> handles =
         SelectOverlappingChunks(view_, query_range, stats_);
     deletes_ = SelectOverlappingDeletes(view_, query_range);
+    std::sort(deletes_.begin(), deletes_.end(),
+              [](const DeleteRecord& a, const DeleteRecord& b) {
+                return a.range.start < b.range.start;
+              });
 
     states.reserve(handles.size());
     for (const ChunkHandle& handle : handles) {
@@ -548,6 +603,9 @@ Result<M4Result> M4LsmExecutor::Run() {
 
   M4Result result(static_cast<size_t>(span_end_ - span_begin_));
   std::vector<ChunkState*> active;
+  // Cleared per span, so each span's live points and value orders are freed
+  // with it; only the vector's own storage is reused.
+  std::vector<SpanView> views;
   size_t next_state = 0;
   for (int64_t i = span_begin_; i < span_end_; ++i) {
     const TimeRange span = spans_.SpanRange(i);
@@ -560,7 +618,7 @@ Result<M4Result> M4LsmExecutor::Run() {
       return state->handle.meta->stats.last.t < span.start;
     });
 
-    std::vector<SpanView> views;
+    views.clear();
     views.reserve(active.size());
     for (ChunkState* state : active) {
       if (!state->handle.meta->Interval().Overlaps(span)) continue;

@@ -92,7 +92,136 @@ TEST(M4LsmTest, ChunksSplitBySpansArePartiallyLoaded) {
   ASSERT_OK(RunM4Lsm(*store, M4Query{0, 4000, 7}, &stats).status());
   EXPECT_GT(stats.chunks_loaded, 0u);
   EXPECT_LT(stats.chunks_loaded, 10u);  // but never all of them
+  // One version, no deletes: split chunks are loaded exactly, but nothing
+  // is overwritten, so no view ever needs its value order.
+  EXPECT_GT(stats.exact_loads, 0u);
+  EXPECT_EQ(stats.value_orders, 0u);
   ExpectAllAgree(*store, M4Query{0, 4000, 7});
+}
+
+// One chunk over three spans, its global extremes in the outer spans, so
+// span 1's BP/TP and span 0's TP come from exact loads. Those extremes each
+// occur three times, with signed-zero ties: BP is the earliest minimum, TP
+// the latest maximum.
+TEST(M4LsmTest, ExactLoadTiesPickEarliestBottomAndLatestTop) {
+  TempDir dir;
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<TsStore> store,
+                       TsStore::Open(TestConfig(dir.path(), 40, 4)));
+  // Spans [0,100), [100,200), [200,300); pages of 4 points straddle them.
+  ASSERT_OK(store->WriteAll({
+      {50, -100}, {60, 0.0}, {70, -0.0}, {80, -5}, {90, -0.0},
+      {100, 3}, {110, -0.0}, {120, 7}, {130, 0.0}, {140, 5},
+      {150, 7}, {160, 0.0}, {170, 7}, {180, 2}, {190, 4},
+      {200, 1}, {210, 1}, {220, 1}, {230, 1}, {240, 1}, {250, 100}}));
+  ASSERT_OK(store->Flush());
+  ASSERT_EQ(store->chunks().size(), 1u);
+
+  M4Query query{0, 300, 3};
+  QueryStats stats;
+  ASSERT_OK_AND_ASSIGN(M4Result result, RunM4Lsm(*store, query, &stats));
+  ASSERT_TRUE(result[0].has_data);
+  ASSERT_TRUE(result[1].has_data);
+  EXPECT_EQ(result[0].bottom, (Point{50, -100}));
+  EXPECT_EQ(result[0].top.t, 90);  // latest of the zeros at 60, 70, 90
+  EXPECT_TRUE(std::signbit(result[0].top.v));
+  EXPECT_EQ(result[1].bottom.t, 110);  // earliest of the zeros at 110-160
+  EXPECT_TRUE(std::signbit(result[1].bottom.v));
+  EXPECT_EQ(result[1].top, (Point{170, 7}));  // latest of 120, 150, 170
+  EXPECT_GT(stats.exact_loads, 0u);
+  EXPECT_EQ(stats.value_orders, 0u);
+  ExpectAllAgree(*store, query);
+}
+
+// A later chunk overwrites the three lowest points of a loaded view, so BP
+// pops past each of them; the view's value order is built once.
+TEST(M4LsmTest, OverwrittenBottomsBuildValueOrderOnce) {
+  TempDir dir;
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<TsStore> store,
+                       TsStore::Open(TestConfig(dir.path(), 40, 4)));
+  std::vector<Point> base = {{50, -100}, {60, 0}, {70, 0}, {80, 0}, {90, 0}};
+  const double span1[] = {-10, -9, -8, -7, 0, 1, 2, 3, 4, 5};
+  for (int i = 0; i < 10; ++i) base.push_back(Point{100 + i * 10, span1[i]});
+  for (Timestamp t = 200; t < 250; t += 10) base.push_back(Point{t, 0});
+  base.push_back(Point{250, 100});
+  ASSERT_OK(store->WriteAll(base));
+  ASSERT_OK(store->Flush());
+  ASSERT_OK(store->WriteAll({{100, 20}, {110, 21}, {120, 22}}));
+  ASSERT_OK(store->Flush());
+
+  M4Query query{0, 300, 3};
+  QueryStats stats;
+  ASSERT_OK_AND_ASSIGN(M4Result row, RunM4LsmSpans(*store, query, 1, 2,
+                                                   &stats));
+  ASSERT_TRUE(row[0].has_data);
+  EXPECT_EQ(row[0].bottom, (Point{130, -7}));
+  EXPECT_EQ(row[0].top, (Point{120, 22}));
+  EXPECT_EQ(stats.exact_loads, 1u);
+  EXPECT_EQ(stats.value_orders, 1u);
+  ExpectAllAgree(*store, query);
+}
+
+// Deletes older than the chunk cover nothing in it; newer ones (one nested
+// in another) split its single page into three live runs. The newer-deleted
+// extremes sit on the deletes' boundaries: a load that kept either would
+// have to pop past it, and value_orders would count that.
+TEST(M4LsmTest, ExactLoadCopiesLiveRunsBetweenNewerDeletes) {
+  TempDir dir;
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<TsStore> store,
+                       TsStore::Open(TestConfig(dir.path(), 64, 64)));
+  ASSERT_OK(store->DeleteRange(TimeRange(20, 40)));  // older than the chunk
+  std::vector<Point> points = MakeSeries(32, 0, 10, [](size_t i) {
+    return static_cast<double>(i % 5);
+  });
+  points[3].v = 90;    // t=30: inside the older delete, the live top
+  points[12].v = -90;  // t=120: newer-deleted global minimum
+  points[19].v = 95;   // t=190: newer-deleted global maximum
+  points[25].v = -50;  // t=250: the live bottom
+  ASSERT_OK(store->WriteAll(points));
+  ASSERT_OK(store->Flush());
+  ASSERT_EQ(store->chunks().size(), 1u);
+  ASSERT_OK(store->DeleteRange(TimeRange(90, 120)));
+  ASSERT_OK(store->DeleteRange(TimeRange(100, 110)));
+  ASSERT_OK(store->DeleteRange(TimeRange(190, 210)));
+
+  M4Query query{0, 320, 1};
+  QueryStats stats;
+  ASSERT_OK_AND_ASSIGN(M4Result result, RunM4Lsm(*store, query, &stats));
+  ASSERT_TRUE(result[0].has_data);
+  EXPECT_EQ(result[0].bottom, (Point{250, -50}));
+  EXPECT_EQ(result[0].top, (Point{30, 90}));
+  EXPECT_GT(stats.exact_loads, 0u);
+  EXPECT_EQ(stats.value_orders, 0u);
+  ExpectAllAgree(*store, query);
+  ExpectAllAgree(*store, M4Query{0, 320, 3});
+}
+
+// Spans 0 and 1 each load ten live points of the first chunk and pop past
+// two overwritten bottoms, in opposite value orders: each span must sort
+// its own points, not reuse the previous span's order of equal size.
+TEST(M4LsmTest, EqualSizedExactLoadsInConsecutiveSpansSortSeparately) {
+  TempDir dir;
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<TsStore> store,
+                       TsStore::Open(TestConfig(dir.path(), 40, 4)));
+  std::vector<Point> base;
+  for (int i = 0; i < 10; ++i) base.push_back(Point{i * 10, i - 5.0});
+  for (int i = 0; i < 10; ++i) base.push_back(Point{100 + i * 10, 4.0 - i});
+  for (Timestamp t = 200; t < 280; t += 10) base.push_back(Point{t, 0});
+  base.push_back(Point{280, -100});
+  base.push_back(Point{290, 100});
+  ASSERT_OK(store->WriteAll(base));
+  ASSERT_OK(store->Flush());
+  ASSERT_OK(store->WriteAll({{0, 40}, {10, 41}, {180, 42}, {190, 43}}));
+  ASSERT_OK(store->Flush());
+
+  M4Query query{0, 300, 3};
+  QueryStats stats;
+  ASSERT_OK_AND_ASSIGN(M4Result result, RunM4Lsm(*store, query, &stats));
+  ASSERT_TRUE(result[0].has_data);
+  ASSERT_TRUE(result[1].has_data);
+  EXPECT_EQ(result[0].bottom, (Point{20, -3}));
+  EXPECT_EQ(result[1].bottom, (Point{170, -3}));
+  EXPECT_EQ(stats.value_orders, 2u);
+  ExpectAllAgree(*store, query);
 }
 
 // Figure 7(a): the FP candidate from chunk metadata is killed by a later

@@ -36,6 +36,15 @@ for preset in "${presets[@]}"; do
   fi
 done
 
+# M4-LSM reuses scratch buffers across spans and copies raw page iterator
+# ranges, so a stale-buffer or out-of-range bug there shows under asan first.
+for preset in "${presets[@]}"; do
+  if [ "$preset" = "asan" ]; then
+    echo "=== [asan] m4 executor ==="
+    ctest --preset asan -L m4 --output-on-failure
+  fi
+done
+
 # Same idea for the network subsystem: the event loop, worker pool, and
 # backpressure paths are where data races would live, so the net tests get
 # a dedicated standalone pass under tsan.
