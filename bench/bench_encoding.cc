@@ -8,10 +8,12 @@
 #include <string>
 #include <vector>
 
+#include "encoding/crc32c.h"
 #include "encoding/gorilla.h"
 #include "encoding/page.h"
 #include "encoding/plain.h"
 #include "encoding/ts2diff.h"
+#include "encoding/varint.h"
 #include "workload/generator.h"
 
 namespace tsviz {
@@ -158,6 +160,29 @@ void BM_DecodePage(benchmark::State& state) {
   state.SetLabel(DatasetName(kind));
 }
 BENCHMARK(BM_DecodePage)->DenseRange(0, 3);
+
+// The page checksum alone over the same MF03 pages, per point: the v01
+// FNV-1a 64 (arg 0) against the v02 CRC32C (arg 1).
+void BM_PageChecksum(benchmark::State& state) {
+  const bool crc = state.range(0) == 1;
+  const std::vector<std::string> pages =
+      GeneratorPages(DatasetKind::kMf03, 100000);
+  int64_t bytes = 0;
+  for (const std::string& page : pages) {
+    bytes += static_cast<int64_t>(page.size());
+  }
+  for (auto _ : state) {
+    for (const std::string& page : pages) {
+      const std::string_view body(page.data(), page.size() - 8);
+      benchmark::DoNotOptimize(crc ? uint64_t{Crc32c(body)} : Fnv1a64(body));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * 100000);
+  state.SetBytesProcessed(state.iterations() * bytes);
+  state.SetLabel(crc ? (Crc32cUsesHardware() ? "crc32c/sse4.2" : "crc32c/table")
+                     : "fnv1a64");
+}
+BENCHMARK(BM_PageChecksum)->DenseRange(0, 1);
 
 // The write side of the same pages: flush and compaction pay this per point.
 void BM_EncodePage(benchmark::State& state) {

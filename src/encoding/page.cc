@@ -1,5 +1,6 @@
 #include "encoding/page.h"
 
+#include "encoding/crc32c.h"
 #include "encoding/gorilla.h"
 #include "encoding/plain.h"
 #include "encoding/rle.h"
@@ -52,7 +53,7 @@ Status EncodePage(const Point* points, size_t count, TsCodec ts_codec,
   }
   PutLengthPrefixed(&body, value_block);
 
-  PutFixed64(&body, Fnv1a64(body));
+  PutFixed64(&body, Crc32c(body));
   dst->append(body);
 
   if (info != nullptr) {
@@ -90,10 +91,14 @@ Status DecodeValues(ValueCodec codec, std::string_view block, size_t count,
 
 }  // namespace
 
-Status DecodePage(std::string_view src, std::vector<Point>* out) {
+Status DecodePage(std::string_view src, std::vector<Point>* out,
+                  PageChecksum checksum) {
   if (src.size() < 8) return Status::Corruption("page too small");
   std::string_view body = src.substr(0, src.size() - 8);
-  if (Fnv1a64(body) != DecodeFixed64(src.data() + body.size())) {
+  const uint64_t expected = checksum == PageChecksum::kCrc32c
+                                ? uint64_t{Crc32c(body)}
+                                : Fnv1a64(body);
+  if (expected != DecodeFixed64(src.data() + body.size())) {
     return Status::Corruption("page checksum mismatch");
   }
 

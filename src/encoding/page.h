@@ -27,7 +27,12 @@ enum class ValueCodec : uint8_t { kPlain = 0, kGorilla = 1, kRle = 2 };
 //   fixed64  max timestamp
 //   varint + bytes  timestamp block
 //   varint + bytes  value block
-//   fixed64  FNV-1a checksum of everything above
+//   fixed64  checksum of everything above (see PageChecksum)
+
+// The checksum that seals a page. EncodePage writes CRC32C, zero-extended
+// into the fixed64; pages of v01 data files carry FNV-1a 64. The data
+// file's magic says which (storage/file_format.h).
+enum class PageChecksum : uint8_t { kFnv1a64 = 0, kCrc32c = 1 };
 
 // Directory entry describing one page inside a chunk blob; stored in the
 // chunk metadata so readers can seek to and decode a single page.
@@ -48,8 +53,9 @@ Status EncodePage(const Point* points, size_t count, TsCodec ts_codec,
                   ValueCodec value_codec, std::string* dst, PageInfo* info);
 
 // Decodes the page stored in `src` (exactly one page's bytes) into *out
-// (points are appended). Verifies the checksum.
-Status DecodePage(std::string_view src, std::vector<Point>* out);
+// (points are appended). Verifies the checksum as a full 64-bit value.
+Status DecodePage(std::string_view src, std::vector<Point>* out,
+                  PageChecksum checksum = PageChecksum::kCrc32c);
 
 }  // namespace tsviz
 

@@ -75,7 +75,7 @@ Result<uint64_t> GetFixed64(std::string_view* src);
 void PutLengthPrefixed(std::string* dst, std::string_view value);
 Result<std::string_view> GetLengthPrefixed(std::string_view* src);
 
-// FNV-1a 64-bit checksum used to detect page/footer corruption.
+// FNV-1a 64-bit checksum of footers, WAL records and v01 data-file pages.
 uint64_t Fnv1a64(std::string_view data);
 
 }  // namespace tsviz

@@ -370,11 +370,18 @@ Status M4LsmExecutor::LoadExact(SpanView& view, const TimeRange& span) {
     if (del.version > view.version()) newer_deletes_.push_back(del.range);
   }
 
-  const auto& pages = view.chunk->lazy->pages();
-  for (size_t pi = LocatePageBinary(pages, span.start);
-       pi < pages.size() && pages[pi].min_t <= span.end; ++pi) {
+  // Pin the span's pages first, so adjacent cold pages share one read.
+  LazyChunk* lazy = view.chunk->lazy;
+  const auto& pages = lazy->pages();
+  const size_t first_page = LocatePageBinary(pages, span.start);
+  size_t last_page = first_page;
+  while (last_page < pages.size() && pages[last_page].min_t <= span.end) {
+    ++last_page;
+  }
+  TSVIZ_RETURN_IF_ERROR(lazy->EnsurePages(first_page, last_page));
+  for (size_t pi = first_page; pi < last_page; ++pi) {
     TSVIZ_ASSIGN_OR_RETURN(const std::vector<Point>* points,
-                           view.chunk->lazy->GetPage(pi));
+                           lazy->GetPage(pi));
     auto it = std::lower_bound(points->begin(), points->end(), span.start,
                                TimeBefore);
     const auto end = std::upper_bound(it, points->end(), span.end, TimeAfter);

@@ -50,7 +50,8 @@ Status LazyChunk::MaybeQuarantine(const Status& status) {
 Status LazyChunk::DecodeAndPin(size_t i, std::string_view raw) {
   const PageInfo& page = handle_.meta->pages[i];
   std::vector<Point> points;
-  TSVIZ_RETURN_IF_ERROR(DecodePage(raw, &points));
+  TSVIZ_RETURN_IF_ERROR(
+      DecodePage(raw, &points, handle_.file->page_checksum()));
   if (points.size() != page.count) {
     // A concurrent loader may have published the same bad page; make sure
     // the poisoned entry can never be served again.
@@ -97,14 +98,20 @@ Result<const std::vector<Point>*> LazyChunk::GetPage(size_t i) {
   return pins_[i].get();
 }
 
-Status LazyChunk::EnsureAllPages() {
+Status LazyChunk::EnsurePages(size_t first, size_t last) {
+  if (first > last || last > pins_.size()) {
+    return Status::OutOfRange("page range past end of chunk");
+  }
+  // Pages an earlier call pinned need no probe, as in GetPage.
+  while (first < last && pins_[first] != nullptr) ++first;
+  if (first == last) return Status::OK();
   obs::Trace* trace = stats_ != nullptr ? stats_->trace.get() : nullptr;
   const std::vector<PageInfo>& pages = handle_.meta->pages;
   SharedPageCache& cache = SharedPageCache::Instance();
   // Pass 1: satisfy what we can from the shared cache.
   {
     obs::TraceSpan probe(trace, "cache_probe");
-    for (size_t i = 0; i < pins_.size(); ++i) {
+    for (size_t i = first; i < last; ++i) {
       if (pins_[i] != nullptr) continue;
       const SharedPageCache::PageKey key = KeyFor(i);
       SharedPageCache::PagePtr cached = cache.Lookup(key);
@@ -119,14 +126,14 @@ Status LazyChunk::EnsureAllPages() {
   }
   // Pass 2: group the remaining cold pages into runs that are adjacent on
   // disk and fetch each run with a single positional read.
-  size_t i = 0;
-  while (i < pins_.size()) {
+  size_t i = first;
+  while (i < last) {
     if (pins_[i] != nullptr) {
       ++i;
       continue;
     }
     size_t end = i + 1;
-    while (end < pins_.size() && pins_[end] == nullptr &&
+    while (end < last && pins_[end] == nullptr &&
            pages[end].offset == pages[end - 1].offset + pages[end - 1].length) {
       ++end;
     }

@@ -36,10 +36,14 @@ class LazyChunk : public PageProvider {
   const ChunkMetadata& meta() const { return *handle_.meta; }
   Version version() const { return handle_.meta->version; }
 
-  // Pins every page, coalescing runs of adjacent cold pages into a single
-  // positional read each. Use when the caller is about to scan the whole
-  // chunk anyway (ReadAllPoints, M4-UDF full scans).
-  Status EnsureAllPages();
+  // Pins pages [first, last), coalescing runs of adjacent cold pages into
+  // a single positional read each. Use when the caller is about to read
+  // every page of the range anyway (M4-LSM exact loads). Charges the same
+  // stats as GetPage on each page.
+  Status EnsurePages(size_t first, size_t last);
+
+  // EnsurePages over the whole chunk (ReadAllPoints, M4-UDF full scans).
+  Status EnsureAllPages() { return EnsurePages(0, pins_.size()); }
 
   // Decodes every page and returns all points in time order.
   Result<std::vector<Point>> ReadAllPoints();

@@ -55,17 +55,25 @@ Result<std::vector<Point>> MergePartitionChunks(
               return a.meta->version < b.meta->version;
             });
   std::map<Timestamp, std::pair<Version, Value>> latest;
+  std::vector<Point> points;
   for (const ChunkHandle& handle : ordered) {
-    for (const PageInfo& page : handle.meta->pages) {
-      TSVIZ_ASSIGN_OR_RETURN(
-          std::string raw,
-          handle.file->ReadRange(handle.meta->data_offset + page.offset,
-                                 page.length));
-      std::vector<Point> points;
-      TSVIZ_RETURN_IF_ERROR(DecodePage(raw, &points));
+    // One read per chunk blob; the pages are slices of it. Pages of v01
+    // files decode with their FNV-1a checksum and are rewritten as v02.
+    const ChunkMetadata& meta = *handle.meta;
+    TSVIZ_ASSIGN_OR_RETURN(
+        std::string blob,
+        handle.file->ReadRange(meta.data_offset, meta.data_length));
+    for (const PageInfo& page : meta.pages) {
+      if (uint64_t{page.offset} + page.length > blob.size()) {
+        return Status::Corruption("page extends past its chunk blob");
+      }
+      points.clear();
+      TSVIZ_RETURN_IF_ERROR(
+          DecodePage(std::string_view(blob).substr(page.offset, page.length),
+                     &points, handle.file->page_checksum()));
       *bytes_rewritten += page.length;
       for (const Point& p : points) {
-        latest[p.t] = {handle.meta->version, p.v};
+        latest[p.t] = {meta.version, p.v};
       }
     }
   }

@@ -4,6 +4,12 @@
 
 namespace tsviz {
 
+Result<PageChecksum> PageChecksumForMagic(std::string_view magic) {
+  if (magic == kFileMagic) return PageChecksum::kCrc32c;
+  if (magic == kFileMagicV1) return PageChecksum::kFnv1a64;
+  return Status::Corruption("bad data file magic");
+}
+
 std::string SerializeFileTail(const std::vector<ChunkMetadata>& chunks) {
   std::string footer;
   PutVarint64(&footer, chunks.size());
@@ -25,7 +31,7 @@ Result<std::vector<ChunkMetadata>> ParseFileTail(std::string_view tail,
   std::string_view trailer = tail.substr(tail.size() - kFileTrailerSize);
   TSVIZ_ASSIGN_OR_RETURN(uint64_t footer_len, GetFixed64(&trailer));
   TSVIZ_ASSIGN_OR_RETURN(uint64_t checksum, GetFixed64(&trailer));
-  if (trailer != kFileMagic) {
+  if (!PageChecksumForMagic(trailer).ok()) {
     return Status::Corruption("bad trailing magic");
   }
   if (footer_len + kFileTrailerSize > tail.size()) {

@@ -63,6 +63,16 @@ Result<std::shared_ptr<FileReader>> FileReader::Open(const std::string& path) {
       reader->ReadRange(reader->file_size_ - tail_size, tail_size));
   TSVIZ_ASSIGN_OR_RETURN(reader->chunks_,
                          ParseFileTail(tail, reader->file_size_));
+  // The trailing magic is valid now; the leading one must be the same.
+  TSVIZ_ASSIGN_OR_RETURN(std::string head,
+                         reader->ReadRange(0, kFileMagic.size()));
+  const std::string_view tail_magic =
+      std::string_view(tail).substr(tail.size() - kFileMagic.size());
+  if (head != tail_magic) {
+    return Status::Corruption(path + ": leading magic does not match trailer");
+  }
+  TSVIZ_ASSIGN_OR_RETURN(reader->page_checksum_,
+                         PageChecksumForMagic(tail_magic));
   for (const ChunkMetadata& meta : reader->chunks_) {
     if (reader->total_points_ == 0) {
       reader->interval_ = meta.Interval();

@@ -27,6 +27,10 @@ class FileReader {
   const std::string& path() const { return path_; }
   uint64_t file_size() const { return file_size_; }
 
+  // How this file's pages are sealed, named by its magic; pass it to
+  // DecodePage for every page read from this file.
+  PageChecksum page_checksum() const { return page_checksum_; }
+
   // Process-unique id minted per reader instance; the shared page cache
   // keys on it, so a reopened file can never alias a stale cached page.
   // The destructor evicts every cache entry carrying this id.
@@ -48,6 +52,7 @@ class FileReader {
   std::string path_;
   uint64_t file_size_;
   uint64_t cache_id_;
+  PageChecksum page_checksum_ = PageChecksum::kCrc32c;
   std::vector<ChunkMetadata> chunks_;
   TimeRange interval_{1, 0};  // empty until chunks are loaded
   uint64_t total_points_ = 0;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
 
@@ -149,6 +150,91 @@ TEST_P(CompactionProperty, M4ResultsUnchanged) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CompactionProperty,
                          ::testing::Range(uint64_t{1}, uint64_t{21}));
+
+std::vector<std::string> DataFiles(const std::string& dir) {
+  std::vector<std::string> paths;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(dir)) {
+    if (entry.path().extension() == ".tsdat") {
+      paths.push_back(entry.path().string());
+    }
+  }
+  return paths;
+}
+
+std::vector<std::string> Rows(const M4Result& result) {
+  std::vector<std::string> rows;
+  for (const M4Row& row : result) rows.push_back(row.ToString());
+  return rows;
+}
+
+// Files written before CRC32C page checksums (magic TSVZFL01, FNV-1a pages)
+// answer exactly as they did, and compaction rewrites them as v02.
+TEST(CompactionTest, V01FilesReadThenCompactToV02) {
+  TempDir dir;
+  const std::vector<M4Query> queries = {
+      {0, 3000, 7}, {100, 2200, 40}, {1500, 1600, 3}};
+  std::vector<std::vector<std::string>> lsm_rows;
+  std::vector<std::vector<std::string>> udf_rows;
+  {
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<TsStore> store,
+                         TsStore::Open(TestConfig(dir.path())));
+    Rng rng(16);
+    for (int round = 0; round < 4; ++round) {
+      for (int i = 0; i < 120; ++i) {
+        ASSERT_OK(store->Write(rng.Uniform(0, 3000),
+                               std::round(rng.Gaussian(0, 30))));
+      }
+      ASSERT_OK(store->Flush());
+      if (round == 1) ASSERT_OK(store->DeleteRange(TimeRange(700, 900)));
+    }
+    ASSERT_GT(store->OverlapFraction(), 0.0);
+    for (const M4Query& query : queries) {
+      ASSERT_OK_AND_ASSIGN(M4Result lsm, RunM4Lsm(*store, query, nullptr));
+      ASSERT_OK_AND_ASSIGN(M4Result udf, RunM4Udf(*store, query, nullptr));
+      lsm_rows.push_back(Rows(lsm));
+      udf_rows.push_back(Rows(udf));
+    }
+  }
+  const std::vector<std::string> v01_files = DataFiles(dir.path());
+  ASSERT_GT(v01_files.size(), 1u);
+  for (const std::string& path : v01_files) RewriteAsV01(path);
+
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<TsStore> store,
+                       TsStore::Open(TestConfig(dir.path())));
+  ASSERT_EQ(store->files().size(), v01_files.size());
+  for (const auto& file : store->files()) {
+    EXPECT_EQ(file->page_checksum(), PageChecksum::kFnv1a64) << file->path();
+  }
+  for (size_t q = 0; q < queries.size(); ++q) {
+    ASSERT_OK_AND_ASSIGN(M4Result lsm,
+                         RunM4Lsm(*store, queries[q], nullptr));
+    ASSERT_OK_AND_ASSIGN(M4Result udf,
+                         RunM4Udf(*store, queries[q], nullptr));
+    EXPECT_EQ(Rows(lsm), lsm_rows[q]) << "query " << q;
+    EXPECT_EQ(Rows(udf), udf_rows[q]) << "query " << q;
+  }
+
+  ASSERT_OK(store->Compact());
+  ASSERT_FALSE(store->files().empty());
+  for (const auto& file : store->files()) {
+    EXPECT_EQ(file->page_checksum(), PageChecksum::kCrc32c) << file->path();
+    EXPECT_EQ(file->ReadRange(0, kFileMagic.size()).value(), kFileMagic);
+  }
+  for (const std::string& path : DataFiles(dir.path())) {
+    EXPECT_EQ(std::find(v01_files.begin(), v01_files.end(), path),
+              v01_files.end())
+        << path << " survived compaction";
+  }
+  for (size_t q = 0; q < queries.size(); ++q) {
+    ASSERT_OK_AND_ASSIGN(M4Result lsm,
+                         RunM4Lsm(*store, queries[q], nullptr));
+    ASSERT_OK_AND_ASSIGN(M4Result udf,
+                         RunM4Udf(*store, queries[q], nullptr));
+    EXPECT_EQ(Rows(udf), udf_rows[q]) << "query " << q;
+    EXPECT_TRUE(ResultsEquivalent(lsm, udf)) << FirstMismatch(lsm, udf);
+  }
+}
 
 }  // namespace
 }  // namespace tsviz

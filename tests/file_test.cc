@@ -140,6 +140,76 @@ TEST_F(FileTest, GarbageFileRejected) {
   EXPECT_FALSE(FileReader::Open(path).ok());
 }
 
+// Overwrites the first bytes of the file at `path` with `head`.
+void OverwriteHead(const std::string& path, std::string_view head) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  f.write(head.data(), static_cast<std::streamsize>(head.size()));
+  ASSERT_TRUE(f.good());
+}
+
+TEST_F(FileTest, NewFilesCarryV02MagicAndCrcPages) {
+  std::string path = FilePath("v02.tsdat");
+  {
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<FileWriter> writer,
+                         FileWriter::Create(path));
+    ASSERT_OK(writer->AppendChunk(MakeLinearSeries(120), 1, TestOptions(),
+                                  nullptr));
+    ASSERT_OK(writer->Finish());
+  }
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<FileReader> reader,
+                       FileReader::Open(path));
+  EXPECT_EQ(reader->page_checksum(), PageChecksum::kCrc32c);
+  EXPECT_EQ(reader->ReadRange(0, 8).value(), "TSVZFL02");
+  EXPECT_EQ(reader->ReadRange(reader->file_size() - 8, 8).value(),
+            "TSVZFL02");
+}
+
+TEST_F(FileTest, LeadingMagicMustMatchTrailingMagic) {
+  for (std::string_view head : {std::string_view("JUNKJUNK"), kFileMagicV1,
+                                kModsMagic}) {
+    std::string path = FilePath("head.tsdat");
+    {
+      ASSERT_OK_AND_ASSIGN(std::unique_ptr<FileWriter> writer,
+                           FileWriter::Create(path));
+      ASSERT_OK(writer->AppendChunk(MakeLinearSeries(50), 1, TestOptions(),
+                                    nullptr));
+      ASSERT_OK(writer->Finish());
+    }
+    OverwriteHead(path, head);
+    EXPECT_EQ(FileReader::Open(path).status().code(), StatusCode::kCorruption)
+        << head;
+  }
+}
+
+TEST_F(FileTest, V01FileReadsWithFnvPages) {
+  std::string path = FilePath("v01.tsdat");
+  std::vector<Point> points = MakeLinearSeries(120, 0, 10);
+  {
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<FileWriter> writer,
+                         FileWriter::Create(path));
+    ASSERT_OK(writer->AppendChunk(points, 1, TestOptions(), nullptr));
+    ASSERT_OK(writer->Finish());
+  }
+  RewriteAsV01(path);
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<FileReader> reader,
+                       FileReader::Open(path));
+  EXPECT_EQ(reader->page_checksum(), PageChecksum::kFnv1a64);
+  const ChunkMetadata& meta = reader->chunks()[0];
+  std::vector<Point> decoded;
+  for (const PageInfo& page : meta.pages) {
+    ASSERT_OK_AND_ASSIGN(
+        std::string raw,
+        reader->ReadRange(meta.data_offset + page.offset, page.length));
+    EXPECT_EQ(DecodePage(raw, &decoded).code(), StatusCode::kCorruption);
+    ASSERT_OK(DecodePage(raw, &decoded, reader->page_checksum()));
+  }
+  EXPECT_EQ(decoded, points);
+
+  // A v02 head on a v01 tail is as corrupt as the other way round.
+  OverwriteHead(path, kFileMagic);
+  EXPECT_EQ(FileReader::Open(path).status().code(), StatusCode::kCorruption);
+}
+
 TEST_F(FileTest, ReadRangePastEofIsOutOfRange) {
   std::string path = FilePath("c.tsdat");
   {

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
+#include "obs/trace.h"
 #include "test_util.h"
 
 namespace tsviz {
@@ -73,6 +75,95 @@ TEST_F(LazyChunkTest, ReadAllPointsRoundTrips) {
   EXPECT_EQ(stats.pages_decoded, 10u);
   EXPECT_EQ(stats.chunks_loaded, 1u);  // counted once despite 10 pages
   EXPECT_EQ(stats.bytes_read, store_->chunks()[0].meta->data_length);
+}
+
+// The number of positional reads a traced load made.
+uint64_t Reads(const QueryStats& stats) {
+  return stats.trace->root().Child("page_load")->calls;
+}
+
+// Pages [2, 7) loaded one GetPage at a time and then, on a cold cache,
+// with one EnsurePages: the work counters agree, and the back-to-back
+// pages cost one read instead of five.
+TEST_F(LazyChunkTest, EnsurePagesChargesLikeGetPageInOneRead) {
+  const ChunkHandle handle = store_->chunks()[0];
+  SharedPageCache& cache = SharedPageCache::Instance();
+  cache.EvictFile(handle.file->cache_id());
+  QueryStats per_page;
+  per_page.trace = std::make_shared<obs::Trace>("query");
+  {
+    LazyChunk chunk(handle, &per_page);
+    for (size_t i = 2; i < 7; ++i) ASSERT_OK(chunk.GetPage(i).status());
+  }
+  cache.EvictFile(handle.file->cache_id());
+  QueryStats ranged;
+  ranged.trace = std::make_shared<obs::Trace>("query");
+  LazyChunk chunk(handle, &ranged);
+  ASSERT_OK(chunk.EnsurePages(2, 7));
+  EXPECT_EQ(ranged.pages_decoded, 5u);
+  EXPECT_EQ(ranged.pages_decoded, per_page.pages_decoded);
+  EXPECT_EQ(ranged.bytes_read, per_page.bytes_read);
+  EXPECT_EQ(ranged.chunks_loaded, per_page.chunks_loaded);
+  EXPECT_EQ(Reads(per_page), 5u);
+  EXPECT_EQ(Reads(ranged), 1u);
+  for (size_t i = 2; i < 7; ++i) {
+    ASSERT_OK_AND_ASSIGN(const std::vector<Point>* page, chunk.GetPage(i));
+    EXPECT_EQ(page->front(), points_[i * 100]);
+  }
+  EXPECT_EQ(ranged.pages_decoded, 5u);  // pinned: no second decode
+  EXPECT_EQ(Reads(ranged), 1u);
+}
+
+// A cached page splits the cold range into two reads; only cold pages are
+// charged as decoded.
+TEST_F(LazyChunkTest, EnsurePagesReadsAroundCachedPages) {
+  const ChunkHandle handle = store_->chunks()[0];
+  SharedPageCache::Instance().EvictFile(handle.file->cache_id());
+  {
+    LazyChunk warm(handle, nullptr);
+    ASSERT_OK(warm.GetPage(4).status());
+  }
+  QueryStats stats;
+  stats.trace = std::make_shared<obs::Trace>("query");
+  LazyChunk chunk(handle, &stats);
+  ASSERT_OK(chunk.EnsurePages(2, 7));
+  EXPECT_EQ(stats.pages_decoded, 4u);
+  EXPECT_EQ(stats.chunks_loaded, 1u);
+  EXPECT_EQ(Reads(stats), 2u);
+  ASSERT_OK_AND_ASSIGN(std::vector<Point> all, chunk.ReadAllPoints());
+  EXPECT_EQ(all, points_);
+  EXPECT_EQ(stats.pages_decoded, 9u);
+  EXPECT_EQ(stats.bytes_read, handle.meta->data_length -
+                                  handle.meta->pages[4].length);
+}
+
+// Pinned pages are skipped without a probe; the rest of the range loads.
+TEST_F(LazyChunkTest, EnsurePagesLoadsOnlyWhatIsNotPinned) {
+  const ChunkHandle handle = store_->chunks()[0];
+  SharedPageCache::Instance().EvictFile(handle.file->cache_id());
+  QueryStats stats;
+  stats.trace = std::make_shared<obs::Trace>("query");
+  LazyChunk chunk(handle, &stats);
+  ASSERT_OK(chunk.GetPage(2).status());
+  ASSERT_OK(chunk.GetPage(3).status());
+  ASSERT_OK(chunk.EnsurePages(2, 5));
+  EXPECT_EQ(stats.pages_decoded, 3u);
+  EXPECT_EQ(Reads(stats), 3u);
+  const uint64_t probes = stats.trace->root().Child("cache_probe")->calls;
+  ASSERT_OK(chunk.EnsurePages(2, 5));
+  EXPECT_EQ(stats.pages_decoded, 3u);
+  EXPECT_EQ(Reads(stats), 3u);
+  EXPECT_EQ(stats.trace->root().Child("cache_probe")->calls, probes);
+}
+
+TEST_F(LazyChunkTest, EnsurePagesRejectsBadRanges) {
+  QueryStats stats;
+  LazyChunk chunk(store_->chunks()[0], &stats);
+  EXPECT_EQ(chunk.EnsurePages(3, 11).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(chunk.EnsurePages(5, 4).code(), StatusCode::kOutOfRange);
+  ASSERT_OK(chunk.EnsurePages(4, 4));
+  EXPECT_FALSE(chunk.loaded());
+  EXPECT_EQ(stats.pages_decoded, 0u);
 }
 
 TEST_F(LazyChunkTest, OutOfRangePageRejected) {

@@ -4,11 +4,13 @@
 
 #include <cmath>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "common/random.h"
 #include "m4/m4_udf.h"
 #include "m4/reference.h"
+#include "obs/trace.h"
 #include "test_util.h"
 #include "workload/ooo.h"
 
@@ -221,6 +223,41 @@ TEST(M4LsmTest, EqualSizedExactLoadsInConsecutiveSpansSortSeparately) {
   EXPECT_EQ(result[0].bottom, (Point{20, -3}));
   EXPECT_EQ(result[1].bottom, (Point{170, -3}));
   EXPECT_EQ(stats.value_orders, 2u);
+  ExpectAllAgree(*store, query);
+}
+
+// Calls of `phase` directly inside any `parent` span under `node`.
+uint64_t CallsUnder(const obs::TraceNode& node, std::string_view parent,
+                    std::string_view phase) {
+  uint64_t calls = 0;
+  for (const auto& child : node.children) {
+    if (node.name == parent && child->name == phase) calls += child->calls;
+    calls += CallsUnder(*child, parent, phase);
+  }
+  return calls;
+}
+
+// One 400-point chunk of 16-point pages cut by three spans: each exact load
+// pins its span's pages first, so its adjacent cold pages share one read
+// (the boundary pages the FP/LP probes pinned are not read again).
+TEST(M4LsmTest, ExactLoadReadsAdjacentColdPagesOnce) {
+  TempDir dir;
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<TsStore> store,
+                       TsStore::Open(TestConfig(dir.path(), 400, 16)));
+  ASSERT_OK(store->WriteAll(MakeSeries(400, 0, 10, [](size_t i) {
+    return std::sin(static_cast<double>(i) * 0.3);
+  })));
+  ASSERT_OK(store->Flush());
+
+  const M4Query query{0, 4000, 3};
+  QueryStats stats;
+  stats.trace = std::make_shared<obs::Trace>("query");
+  ASSERT_OK(RunM4Lsm(*store, query, &stats).status());
+  EXPECT_EQ(stats.exact_loads, 3u);
+  EXPECT_EQ(stats.pages_decoded, 25u);
+  EXPECT_LE(CallsUnder(stats.trace->root(), "lazy_chunk_load", "page_load"),
+            stats.exact_loads)
+      << stats.trace->ToString();
   ExpectAllAgree(*store, query);
 }
 

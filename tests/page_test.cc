@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "encoding/crc32c.h"
 #include "encoding/varint.h"
 #include "reference_codec.h"
 #include "test_util.h"
@@ -134,8 +135,86 @@ TEST(PageTest, DecodeAppendsToExistingOutput) {
 // the bytes on purpose would: the checksum then proves nothing about them.
 std::string Restamp(std::string_view body) {
   std::string page(body);
-  PutFixed64(&page, Fnv1a64(body));
+  PutFixed64(&page, Crc32c(body));
   return page;
+}
+
+// The same page sealed the v01 way, with FNV-1a 64.
+std::string RestampFnv(std::string_view page) {
+  std::string_view body = page.substr(0, page.size() - 8);
+  std::string out(body);
+  PutFixed64(&out, Fnv1a64(body));
+  return out;
+}
+
+TEST(PageTest, ChecksumIsZeroExtendedCrc32c) {
+  std::vector<Point> points = SamplePoints(50);
+  std::string blob;
+  ASSERT_OK(EncodePage(points.data(), points.size(), TsCodec::kTs2Diff,
+                       ValueCodec::kGorilla, &blob, nullptr));
+  const std::string_view body(blob.data(), blob.size() - 8);
+  EXPECT_EQ(DecodeFixed64(blob.data() + body.size()),
+            uint64_t{reference::Crc32c(body)});
+  // A stored value whose low half matches but whose high half does not is
+  // a mismatch: all 64 bits are compared.
+  for (size_t byte = 4; byte < 8; ++byte) {
+    std::string corrupt = blob;
+    corrupt[body.size() + byte] = '\x01';
+    std::vector<Point> decoded;
+    EXPECT_EQ(DecodePage(corrupt, &decoded).code(), StatusCode::kCorruption)
+        << "upper byte " << byte;
+    EXPECT_TRUE(decoded.empty());
+  }
+}
+
+TEST(PageTest, FnvPagesDecodeOnlyAsFnv) {
+  std::vector<Point> points = SamplePoints(50);
+  std::string blob;
+  ASSERT_OK(EncodePage(points.data(), points.size(), TsCodec::kTs2Diff,
+                       ValueCodec::kGorilla, &blob, nullptr));
+  const std::string v01 = RestampFnv(blob);
+  std::vector<Point> decoded;
+  ASSERT_OK(DecodePage(v01, &decoded, PageChecksum::kFnv1a64));
+  EXPECT_EQ(decoded, points);
+  decoded.clear();
+  EXPECT_EQ(DecodePage(v01, &decoded).code(), StatusCode::kCorruption);
+  EXPECT_EQ(DecodePage(blob, &decoded, PageChecksum::kFnv1a64).code(),
+            StatusCode::kCorruption);
+  EXPECT_TRUE(decoded.empty());
+}
+
+// Every byte of a page from each generator, under both checksums, replaced
+// by each of the 255 other values: the checksum rejects every one.
+TEST(PageTest, EverySingleByteCorruptionIsRejected) {
+  size_t mutations = 0;
+  for (DatasetKind kind : AllDatasetKinds()) {
+    DatasetSpec spec;
+    spec.kind = kind;
+    spec.num_points = 50;
+    std::vector<Point> points = GenerateDataset(spec);
+    std::string crc_page;
+    ASSERT_OK(EncodePage(points.data(), points.size(), TsCodec::kTs2Diff,
+                         ValueCodec::kGorilla, &crc_page, nullptr));
+    const std::pair<std::string, PageChecksum> sealed[] = {
+        {crc_page, PageChecksum::kCrc32c},
+        {RestampFnv(crc_page), PageChecksum::kFnv1a64}};
+    for (const auto& [page, checksum] : sealed) {
+      std::string corrupt = page;
+      std::vector<Point> decoded;
+      for (size_t pos = 0; pos < page.size(); ++pos) {
+        for (int mask = 1; mask < 256; ++mask) {
+          corrupt[pos] = static_cast<char>(page[pos] ^ mask);
+          ASSERT_EQ(DecodePage(corrupt, &decoded, checksum).code(),
+                    StatusCode::kCorruption)
+              << DatasetName(kind) << " byte " << pos << " mask " << mask;
+          ++mutations;
+        }
+        corrupt[pos] = page[pos];
+      }
+      EXPECT_TRUE(decoded.empty());
+    }
+  }
+  EXPECT_GT(mutations, 50000u);
 }
 
 // Replaces the page's count varint with `count` and restamps it.

@@ -1,12 +1,13 @@
 #ifndef TSVIZ_TESTS_REFERENCE_CODEC_H_
 #define TSVIZ_TESTS_REFERENCE_CODEC_H_
 
-// Reference implementations of the bit stream and of page decoding, written
-// the plain way: one loop iteration per bit and per varint byte, a Status
-// check on every field, and output grown one element at a time. They define
-// the format's behaviour, so the word-at-a-time production code can be
-// compared with them value for value and verdict for verdict. They allocate
-// nothing up front, so an absurd count fails when its stream runs out.
+// Reference implementations of the bit stream, the page checksum and page
+// decoding, written the plain way: one loop iteration per bit and per
+// varint byte, a Status check on every field, and output grown one element
+// at a time. They define the format's behaviour, so the word-at-a-time
+// production code can be compared with them value for value and verdict for
+// verdict. They allocate nothing up front, so an absurd count fails when
+// its stream runs out.
 
 #include <cstdint>
 #include <cstring>
@@ -182,6 +183,18 @@ inline Status DecodeRle(std::string_view src, uint64_t count,
   return Status::OK();
 }
 
+// CRC-32C one bit at a time, straight from the reflected polynomial.
+inline uint32_t Crc32c(std::string_view data) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (char c : data) {
+    crc ^= static_cast<uint8_t>(c);
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1u) != 0 ? (crc >> 1) ^ 0x82F63B78u : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
 // Decodes one page the plain way: separate timestamp and value vectors,
 // zipped into points at the end.
 inline Status DecodePage(std::string_view src, std::vector<Point>* out) {
@@ -189,7 +202,9 @@ inline Status DecodePage(std::string_view src, std::vector<Point>* out) {
   std::string_view body = src.substr(0, src.size() - 8);
   std::string_view checksum = src.substr(src.size() - 8);
   TSVIZ_ASSIGN_OR_RETURN(uint64_t stored, ReadFixed64(&checksum));
-  if (Fnv1a64(body) != stored) return Status::Corruption("bad checksum");
+  if (uint64_t{Crc32c(body)} != stored) {
+    return Status::Corruption("bad checksum");
+  }
 
   TSVIZ_ASSIGN_OR_RETURN(uint64_t count, ReadVarint(&body));
   if (body.size() < 2) return Status::Corruption("truncated page header");

@@ -5,13 +5,18 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "common/random.h"
 #include "common/status.h"
 #include "common/types.h"
+#include "encoding/varint.h"
 #include "read/lazy_chunk.h"
+#include "storage/file_format.h"
+#include "storage/file_reader.h"
 #include "storage/store.h"
 
 namespace tsviz {
@@ -101,6 +106,39 @@ inline std::vector<std::pair<Version, TimeRange>> DumpDeletes(
     out.emplace_back(del.version, del.range);
   }
   return out;
+}
+
+// Rewrites the finished data file at `path` as a v01 build wrote it:
+// every page sealed with FNV-1a 64 and both magics TSVZFL01. Page lengths
+// and the footer stay as they are.
+inline void RewriteAsV01(const std::string& path) {
+  std::vector<ChunkMetadata> chunks;
+  {
+    auto reader = FileReader::Open(path);
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    chunks = (*reader)->chunks();
+  }
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  for (const ChunkMetadata& meta : chunks) {
+    for (const PageInfo& page : meta.pages) {
+      const size_t body_at = meta.data_offset + page.offset;
+      const size_t body_len = page.length - 8;
+      std::string sealed;
+      PutFixed64(&sealed,
+                 Fnv1a64(std::string_view(bytes).substr(body_at, body_len)));
+      bytes.replace(body_at + body_len, 8, sealed);
+    }
+  }
+  bytes.replace(0, kFileMagicV1.size(), kFileMagicV1);
+  bytes.replace(bytes.size() - kFileMagicV1.size(), kFileMagicV1.size(),
+                kFileMagicV1);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  ASSERT_TRUE(out.good()) << path;
 }
 
 }  // namespace tsviz

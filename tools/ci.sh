@@ -45,6 +45,16 @@ for preset in "${presets[@]}"; do
   fi
 done
 
+# The page codecs and the CRC32C checksum load unaligned 64-bit words
+# through raw pointers, so an out-of-range or misaligned load shows under
+# asan first.
+for preset in "${presets[@]}"; do
+  if [ "$preset" = "asan" ]; then
+    echo "=== [asan] codecs ==="
+    ctest --preset asan -L codec --output-on-failure
+  fi
+done
+
 # Same idea for the network subsystem: the event loop, worker pool, and
 # backpressure paths are where data races would live, so the net tests get
 # a dedicated standalone pass under tsan.
